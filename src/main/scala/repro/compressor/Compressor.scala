@@ -71,33 +71,25 @@ object Compressor {
     * to what [[decompressBlob]] yields from [[compressToBlob]].
     */
   def compress(field: Field, ebAbs: Double, predictor: Predictor): CompressionResult = {
-    val quant = new Quantizer(ebAbs)
-    val out = predictor.compress(field, quant)
-    val freqs = {
-      val m = scala.collection.mutable.Map.empty[Int, Long].withDefaultValue(0L)
-      out.codes.foreach(c => m(c) += 1)
-      m.toMap
-    }
-    val lens = Huffman.codeLengths(freqs)
-    val huffBits = freqs.iterator.map { case (s, f) => f * lens(s) }.sum
-    val blob = Huffman.encode(out.codes)
+    val out = predictor.compress(field, new Quantizer(ebAbs))
+    val freqs = Frequencies.of(out.codes)
+    val lens = Huffman.codeLengthsBySlot(freqs)
+    val blob = Huffman.encode(out.codes, freqs, lens)
+    val codebookBytes = Huffman.codebookBytes(freqs.distinct)
     // the lossless stage sees the Huffman *payload*; the codebook is fixed
     // metadata accounted separately (as the model does)
-    val payload = java.util.Arrays.copyOfRange(blob, Huffman.codebookBytes(freqs.size), blob.length)
-    val ll = Lossless.compress(payload)
-    val rleBits = Rle.bitsAfterZeroRunRle(out.codes, lens)
-    val zeros = freqs.getOrElse(0, 0L)
+    val ll = Lossless.compress(java.util.Arrays.copyOfRange(blob, codebookBytes, blob.length))
     CompressionResult(
       predictor = predictor.name,
       eb = ebAbs,
       n = field.size,
-      huffPayloadBits = huffBits,
-      codebookBytes = Huffman.codebookBytes(freqs.size),
+      huffPayloadBits = Huffman.payloadBits(freqs, lens),
+      codebookBytes = codebookBytes,
       sideBytes = out.sideBytes,
       unpredCount = out.unpredictable.length,
       huffLLBytes = ll.length.toLong,
-      rleBits = rleBits,
-      p0 = zeros.toDouble / math.max(1, out.codes.length),
+      rleBits = Rle.bitsAfterZeroRunRle(out.codes, freqs, lens),
+      p0 = freqs.count(0).toDouble / math.max(1, out.codes.length),
       recon = out.recon,
     )
   }

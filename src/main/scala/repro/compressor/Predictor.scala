@@ -1,7 +1,7 @@
 package repro.compressor
 
 import repro.core.Field
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.mutable
 
 /** Output of a predictor's compression pass.
   *
@@ -59,56 +59,101 @@ object Predictor {
 object LorenzoPredictor extends Predictor {
   val name = "lorenzo"
 
-  def compress(field: Field, quant: Quantizer): PredictorOutput = {
-    val n = field.size
-    val ndim = field.ndim
-    val dims = field.dims
-    val strides = field.strides
-    val recon = new Array[Double](n)
-    val codes = new Array[Int](n)
-    val unpred = new ArrayBuffer[Double]()
+  /** The Lorenzo stencil of one field shape, computed once. For each set of
+    * dimensions whose coordinate is > 0 (bit d for dimension d) it lists the
+    * offsets and signs of the neighbour terms that exist there, in the mask
+    * order of [[predictAt]], so both sum the same terms in the same order.
+    */
+  private final class Stencil(strides: Array[Int]) {
+    private val ndim = strides.length
+    private val xBit = 1 << (ndim - 1)
+    private val masks: Array[Array[Int]] = Array.tabulate(1 << ndim) { present =>
+      (1 until (1 << ndim)).filter(m => (m & ~present) == 0).toArray
+    }
+    private val offsets: Array[Array[Int]] =
+      masks.map(_.map(m => (0 until ndim).filter(d => (m & (1 << d)) != 0).map(strides).sum))
+    private val signs: Array[Array[Double]] =
+      masks.map(_.map(m => if (Integer.bitCount(m) % 2 == 1) 1.0 else -1.0))
+
+    /** Prediction at `idx`, point `x` of a row whose outer coordinates
+      * are > 0 for the dimensions in `rowPresent` (see [[foreachRow]]).
+      */
+    def predict(buf: Array[Double], idx: Int, rowPresent: Int, x: Int): Double = {
+      val present = if (x == 0) rowPresent else rowPresent | xBit
+      val off = offsets(present)
+      val sign = signs(present)
+      var pred = 0.0
+      var k = 0
+      while (k < off.length) { pred += sign(k) * buf(idx - off(k)); k += 1 }
+      pred
+    }
+  }
+
+  /** Calls `row(start, present)` for each row along the last dimension, in
+    * row-major order: `start` is the row's first linear index, and bit d of
+    * `present` is set when coordinate d (d < ndim - 1) is > 0.
+    */
+  private def foreachRow(dims: Array[Int])(row: (Int, Int) => Unit): Unit = {
+    val ndim = dims.length
+    val n = dims.product
     val coords = new Array[Int](ndim)
-    var idx = 0
-    while (idx < n) {
-      val pred = predictAt(recon, coords, dims, strides)
-      val (code, rv) = quant.quantize(pred, field.data(idx))
-      codes(idx) = code
-      if (code == Quantizer.Escape) unpred += field.data(idx)
-      recon(idx) = rv
-      // advance odometer (row-major, last dim fastest)
-      var d = ndim - 1
+    var present = 0
+    var start = 0
+    while (start < n) {
+      row(start, present)
+      start += dims(ndim - 1)
+      var d = ndim - 2
       var carry = true
       while (d >= 0 && carry) {
         coords(d) += 1
-        if (coords(d) == dims(d)) { coords(d) = 0; d -= 1 } else carry = false
+        if (coords(d) == dims(d)) { coords(d) = 0; present &= ~(1 << d); d -= 1 }
+        else { present |= 1 << d; carry = false }
       }
-      idx += 1
     }
-    PredictorOutput(codes, unpred.toArray, Array.emptyByteArray, Field(recon, dims))
+  }
+
+  def compress(field: Field, quant: Quantizer): PredictorOutput = {
+    val dims = field.dims
+    val data = field.data
+    val stencil = new Stencil(field.strides)
+    val nx = dims(dims.length - 1)
+    val recon = new Array[Double](field.size)
+    val codes = new Array[Int](field.size)
+    val unpred = new mutable.ArrayBuilder.ofDouble
+    foreachRow(dims) { (start, present) =>
+      var x = 0
+      while (x < nx) {
+        val idx = start + x
+        val pred = stencil.predict(recon, idx, present, x)
+        val v = data(idx)
+        val code = quant.code(pred, v)
+        codes(idx) = code
+        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+        else recon(idx) = quant.reconstruct(pred, code)
+        x += 1
+      }
+    }
+    PredictorOutput(codes, unpred.result(), Array.emptyByteArray, Field(recon, dims))
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field = {
-    val n = dims.product
-    val ndim = dims.length
-    val strides = Field(new Array[Double](n), dims).strides
-    val recon = new Array[Double](n)
-    val coords = new Array[Int](ndim)
+    val out = Field(new Array[Double](dims.product), dims)
+    val recon = out.data
+    val stencil = new Stencil(out.strides)
+    val nx = dims(dims.length - 1)
     var u = 0
-    var idx = 0
-    while (idx < n) {
-      val code = codes(idx)
-      if (code == Quantizer.Escape) { recon(idx) = unpredictable(u); u += 1 }
-      else recon(idx) = quant.reconstruct(predictAt(recon, coords, dims, strides), code)
-      var d = ndim - 1
-      var carry = true
-      while (d >= 0 && carry) {
-        coords(d) += 1
-        if (coords(d) == dims(d)) { coords(d) = 0; d -= 1 } else carry = false
+    foreachRow(dims) { (start, present) =>
+      var x = 0
+      while (x < nx) {
+        val idx = start + x
+        val code = codes(idx)
+        if (code == Quantizer.Escape) { recon(idx) = unpredictable(u); u += 1 }
+        else recon(idx) = quant.reconstruct(stencil.predict(recon, idx, present, x), code)
+        x += 1
       }
-      idx += 1
     }
-    Field(recon, dims)
+    out
   }
 
   /** Lorenzo prediction at `coords` from the (partially filled) recon buffer.
@@ -161,27 +206,31 @@ object InterpolationPredictor extends Predictor {
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
     val dims = field.dims
-    val n = field.size
-    val recon = new Array[Double](n)
-    val codes = new ArrayBuffer[Int](n)
-    val unpred = new ArrayBuffer[Double]()
-    val anchors = new ArrayBuffer[Double]()
+    val data = field.data
+    val recon = new Array[Double](field.size)
+    val nAnchors = dims.map(d => (d - 1) / MaxStride + 1).product
+    val anchors = java.nio.ByteBuffer.allocate(nAnchors * 8)
+    val codes = new Array[Int](field.size - nAnchors)
+    val unpred = new mutable.ArrayBuilder.ofDouble
+    var c = 0
 
     traverse(dims) { (idx, isAnchor, predIdx1, predIdx2) =>
+      val v = data(idx)
       if (isAnchor) {
-        recon(idx) = field.data(idx)
-        anchors += field.data(idx)
+        recon(idx) = v
+        anchors.putDouble(v)
       } else {
         val pred =
           if (predIdx2 >= 0) 0.5 * (recon(predIdx1) + recon(predIdx2))
           else recon(predIdx1)
-        val (code, rv) = quant.quantize(pred, field.data(idx))
-        codes += code
-        if (code == Quantizer.Escape) unpred += field.data(idx)
-        recon(idx) = rv
+        val code = quant.code(pred, v)
+        codes(c) = code
+        c += 1
+        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+        else recon(idx) = quant.reconstruct(pred, code)
       }
     }
-    PredictorOutput(codes.toArray, unpred.toArray, serializeDoubles(anchors.toArray), Field(recon, dims))
+    PredictorOutput(codes, unpred.result(), anchors.array(), Field(recon, dims))
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
@@ -206,13 +255,20 @@ object InterpolationPredictor extends Predictor {
     Field(recon, dims)
   }
 
+  /** Callback of [[traverse]]. A trait, not a function type, so that its
+    * primitive arguments are passed unboxed; a lambda converts to it.
+    */
+  trait Visit {
+    def apply(idx: Int, isAnchor: Boolean, p1: Int, p2: Int): Unit
+  }
+
   /** Shared deterministic traversal. Calls `f(idx, isAnchor, p1, p2)` for
     * every point exactly once: anchors first (p1=p2=-1), then per
     * level (stride s = MaxStride, MaxStride/2, …, 2) and per dimension d the
     * midpoints, with p1/p2 the linear indices of the left/right neighbors
     * along d (p2 = -1 at the right boundary).
     */
-  def traverse(dims: Array[Int])(f: (Int, Boolean, Int, Int) => Unit): Unit = {
+  def traverse(dims: Array[Int])(f: Visit): Unit = {
     val ndim = dims.length
     val strides = Field(new Array[Double](dims.product), dims).strides
 
@@ -274,12 +330,6 @@ object InterpolationPredictor extends Predictor {
     idx
   }
 
-  private[compressor] def serializeDoubles(a: Array[Double]): Array[Byte] = {
-    val bb = java.nio.ByteBuffer.allocate(a.length * 8)
-    a.foreach(bb.putDouble)
-    bb.array()
-  }
-
   private[compressor] def deserializeDoubles(b: Array[Byte]): Array[Double] = {
     val bb = java.nio.ByteBuffer.wrap(b)
     Array.fill(b.length / 8)(bb.getDouble)
@@ -308,31 +358,30 @@ object RegressionPredictor extends Predictor {
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
     val dims = field.dims
+    val data = field.data
     val ndim = dims.length
     val be = blockEdge(ndim)
-    val codes = new ArrayBuffer[Int](field.size)
-    val unpred = new ArrayBuffer[Double]()
-    val coeffBuf = new ArrayBuffer[Float]()
+    val nBlocks = dims.map(d => (d + be - 1) / be).product
+    val side = java.nio.ByteBuffer.allocate(nBlocks * (ndim + 1) * 4)
+    val codes = new Array[Int](field.size)
+    val unpred = new mutable.ArrayBuilder.ofDouble
     val recon = new Array[Double](field.size)
+    var c = 0
 
     foreachBlock(dims, be) { (lo, hi) =>
-      val coeffs = fitBlock(field, lo, hi)
-      val fcoeffs = coeffs.map(_.toFloat)
-      fcoeffs.foreach(coeffBuf += _)
+      val fcoeffs = fitBlock(field, lo, hi).map(_.toFloat)
+      fcoeffs.foreach(side.putFloat)
       foreachPointInBlock(field, lo, hi) { (idx, coords) =>
         val pred = evalPlane(fcoeffs, coords, lo)
-        val (code, rv) = quant.quantize(pred, field.data(idx))
-        codes += code
-        if (code == Quantizer.Escape) unpred += field.data(idx)
-        recon(idx) = rv
+        val v = data(idx)
+        val code = quant.code(pred, v)
+        codes(c) = code
+        c += 1
+        if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
+        else recon(idx) = quant.reconstruct(pred, code)
       }
     }
-    val side = {
-      val bb = java.nio.ByteBuffer.allocate(coeffBuf.length * 4)
-      coeffBuf.foreach(bb.putFloat)
-      bb.array()
-    }
-    PredictorOutput(codes.toArray, unpred.toArray, side, Field(recon, dims))
+    PredictorOutput(codes, unpred.result(), side.array(), Field(recon, dims))
   }
 
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
@@ -444,8 +493,15 @@ object RegressionPredictor extends Predictor {
     }
   }
 
+  /** Callback of [[foreachPointInBlock]]. A trait, not a function type, so
+    * that the index is passed unboxed; a lambda converts to it.
+    */
+  trait PointVisit {
+    def apply(idx: Int, coords: Array[Int]): Unit
+  }
+
   /** Iterate points of a block row-major; f(linearIdx, coords). */
-  def foreachPointInBlock(field: Field, lo: Array[Int], hi: Array[Int])(f: (Int, Array[Int]) => Unit): Unit = {
+  def foreachPointInBlock(field: Field, lo: Array[Int], hi: Array[Int])(f: PointVisit): Unit = {
     val ndim = lo.length
     val coords = lo.clone()
     var done = false

@@ -17,23 +17,32 @@ final class Quantizer(val eb: Double, val radius: Int = 32768) {
 
   val interval: Double = 2.0 * eb
 
+  private val slack: Double = eb * (1 + 1e-10)
+
+  /** Quantization code of one prediction, or [[Quantizer.Escape]]. A
+    * non-escape code reconstructs as `pred + code * interval` within `eb` of
+    * `actual`; an escaped point is stored verbatim.
+    */
+  def code(pred: Double, actual: Double): Int = {
+    val diff = actual - pred
+    val code = math.rint(diff / interval)
+    if (code.isNaN || math.abs(code) >= radius) Quantizer.Escape
+    else {
+      val c = code.toInt
+      // Floating-point cancellation can nudge |recon-actual| past eb for
+      // values many orders of magnitude above eb; escape those too. The
+      // 1e-10 slack tolerates exact half-interval rounding wobble.
+      if (math.abs(reconstruct(pred, c) - actual) > slack) Quantizer.Escape else c
+    }
+  }
+
   /** Quantize one prediction. Returns the code (or [[Quantizer.Escape]]) and
     * the reconstructed value. The error-bound invariant holds for every
     * non-escape code; escapes reconstruct exactly.
     */
   def quantize(pred: Double, actual: Double): (Int, Double) = {
-    val diff = actual - pred
-    val code = math.rint(diff / interval)
-    if (code.isNaN || math.abs(code) >= radius) (Quantizer.Escape, actual)
-    else {
-      val c = code.toInt
-      val recon = pred + c * interval
-      // Floating-point cancellation can nudge |recon-actual| past eb for
-      // values many orders of magnitude above eb; escape those too. The
-      // 1e-10 slack tolerates exact half-interval rounding wobble.
-      if (math.abs(recon - actual) > eb * (1 + 1e-10)) (Quantizer.Escape, actual)
-      else (c, recon)
-    }
+    val c = code(pred, actual)
+    if (c == Quantizer.Escape) (c, actual) else (c, reconstruct(pred, c))
   }
 
   /** Reconstruct from a (non-escape) code. */

@@ -122,4 +122,50 @@ class HuffmanSpec extends AnyFunSuite {
   test("rejects non-positive frequencies") {
     intercept[IllegalArgumentException](Huffman.codeLengths(Map(1 -> 0L)))
   }
+
+  test("a stream truncated at any length decodes to the original or is rejected") {
+    val rnd = new java.util.Random(11)
+    val symbols = Array.fill(400) {
+      val r = rnd.nextDouble()
+      if (r < 0.6) 0 else if (r < 0.9) rnd.nextInt(7) - 3 else if (r < 0.95) Quantizer.Escape else rnd.nextInt(2000) - 1000
+    }
+    val blob = Huffman.encode(symbols)
+    for (len <- 0 to blob.length) {
+      val cut = java.util.Arrays.copyOf(blob, len)
+      try assert(Huffman.decode(cut).toSeq == symbols.toSeq, s"length $len")
+      catch { case _: IllegalArgumentException => assert(len < blob.length, s"full blob rejected") }
+    }
+  }
+
+  /** The blob of `symbols` with a 4- or 8-byte header field overwritten. */
+  private def patched(symbols: Array[Int], at: Int => Int, value: Long, longField: Boolean = false): Array[Byte] = {
+    val blob = Huffman.encode(symbols)
+    val bb = java.nio.ByteBuffer.wrap(blob)
+    val nsym = bb.getInt(0)
+    if (longField) bb.putLong(at(nsym), value) else bb.putInt(at(nsym), value.toInt)
+    blob
+  }
+
+  test("decode rejects malformed headers with IllegalArgumentException") {
+    val symbols = Array(0, 0, 1, -1, 0, 2, 0, 0, 1)
+    val ncodesAt = (nsym: Int) => 4 + 5 * nsym
+    val bad = Seq(
+      "codebook larger than the blob" -> patched(symbols, _ => 0, Int.MaxValue),
+      "negative codebook size" -> patched(symbols, _ => 0, -1),
+      "more codes than payload bits" -> patched(symbols, ncodesAt, 1000),
+      "negative code count" -> patched(symbols, ncodesAt, -5),
+      "payload bits beyond the payload" -> patched(symbols, n => ncodesAt(n) + 4, 1L << 40, longField = true),
+      "negative payload bits" -> patched(symbols, n => ncodesAt(n) + 4, -1, longField = true),
+    )
+    bad.foreach { case (what, blob) => intercept[IllegalArgumentException](Huffman.decode(blob)); info(what) }
+  }
+
+  test("decode rejects code lengths outside 1..31") {
+    val symbols = Array(0, 0, 1, -1, 0, 2, 0, 0, 1)
+    Seq(0, 32, -1).foreach { l =>
+      val blob = Huffman.encode(symbols)
+      blob(4 + 4) = l.toByte // length byte of the first codebook entry
+      intercept[IllegalArgumentException](Huffman.decode(blob))
+    }
+  }
 }
