@@ -49,12 +49,4 @@ object Metrics {
     val c3 = math.pow(0.03 * range, 2)
     ((2 * muX * muY + c4) * (2 * cov + c3)) / ((muX * muX + muY * muY + c4) * (vX + vY + c3))
   }
-
-  /** Max pointwise absolute error. */
-  def maxAbsError(orig: Field, recon: Field): Double = {
-    var m = 0.0
-    var i = 0
-    while (i < orig.size) { val d = math.abs(recon.data(i) - orig.data(i)); if (d > m) m = d; i += 1 }
-    m
-  }
 }

@@ -40,9 +40,6 @@ final case class CompressionResult(
   /** Compressed size with Huffman + lossless stage (bytes). */
   def huffPlusLLBytes: Long = huffLLBytes + overheadBytes
 
-  /** Compressed size with Huffman + zero-run RLE (bytes). */
-  def huffPlusRleBytes: Long = (rleBits + 7) / 8 + overheadBytes
-
   /** Bit-rate (bits/point) of the Huffman payload alone — the quantity the
     * Huffman model (Eq. 1) estimates. */
   def huffBitRate: Double = huffPayloadBits.toDouble / n
@@ -118,22 +115,48 @@ object Compressor {
     bb.array()
   }
 
-  /** Decompress a blob produced by [[compressToBlob]]. */
+  private def corrupt(msg: String): Nothing =
+    throw new IllegalArgumentException(s"corrupt blob: $msg")
+
+  /** Decompress a blob produced by [[compressToBlob]]. The blob is untrusted:
+    * every length is checked against the bytes present before anything is
+    * allocated, the decoded streams against what the dims and the predictor
+    * imply, and a malformed blob throws `IllegalArgumentException`.
+    */
   def decompressBlob(blob: Array[Byte]): Field = {
     val bb = java.nio.ByteBuffer.wrap(blob)
+    def need(bytes: Long, what: String): Unit =
+      if (bytes > bb.remaining) corrupt(s"$what needs $bytes bytes, ${bb.remaining} left")
+    need(4, "ndim")
     val ndim = bb.getInt
+    if (ndim < 1 || ndim > 4) corrupt(s"ndim $ndim")
+    need(4L * ndim + 8 + 4 + 4, "header")
     val dims = Array.fill(ndim)(bb.getInt)
-    val eb = bb.getDouble
-    val predictor = Predictor.byId(bb.getInt)
+    // saturating product: four huge dims cannot wrap a Long back into range
+    val n = dims.foldLeft(1L)((p, d) => math.min(p * d, Int.MaxValue + 1L))
+    if (dims.exists(_ <= 0) || n > Int.MaxValue) corrupt(s"dims ${dims.mkString("x")}")
+    val quant = new Quantizer(bb.getDouble)
+    val id = bb.getInt
+    if (id < 0 || id >= Predictor.all.length) corrupt(s"predictor id $id")
+    val predictor = Predictor.byId(id)
     val nUnpred = bb.getInt
+    if (nUnpred < 0) corrupt(s"$nUnpred unpredictable values")
+    need(8L * nUnpred + 4, "unpredictable values")
     val unpred = Array.fill(nUnpred)(bb.getDouble)
     val sideLen = bb.getInt
+    if (sideLen != predictor.sideBytes(dims)) corrupt(s"side length $sideLen")
+    need(sideLen, "side channel")
     val side = new Array[Byte](sideLen)
     bb.get(side)
-    val huff = new Array[Byte](blob.length - bb.position())
+    val huff = new Array[Byte](bb.remaining)
     bb.get(huff)
     val codes = Huffman.decode(huff)
-    predictor.decompress(dims, new Quantizer(eb), codes, unpred, side)
+    if (codes.length != predictor.codeCount(dims)) corrupt(s"${codes.length} codes")
+    var escapes = 0
+    var i = 0
+    while (i < codes.length) { if (codes(i) == Quantizer.Escape) escapes += 1; i += 1 }
+    if (escapes != nUnpred) corrupt(s"$escapes escapes for $nUnpred unpredictable values")
+    predictor.decompress(dims, quant, codes, unpred, side)
   }
 
   /** Verify the error-bound invariant; returns the max abs error. */

@@ -39,10 +39,12 @@ object Huffman {
     freqs.keysIterator.map(s => s -> depth(s)).toMap
   }
 
-  /** Code length per slot of `freqs` (0 for slots that do not occur). */
+  /** Code length per slot of `freqs` (0 for slots that do not occur; all 0
+    * for an empty stream, which encodes to an empty codebook).
+    */
   def codeLengthsBySlot(freqs: Frequencies): Array[Int] = {
     val lens = new Array[Int](freqs.counts.length)
-    codeLengths(freqs.toMap).foreach { case (s, l) => lens(freqs.slot(s)) = l }
+    if (freqs.distinct > 0) codeLengths(freqs.toMap).foreach { case (s, l) => lens(freqs.slot(s)) = l }
     lens
   }
 

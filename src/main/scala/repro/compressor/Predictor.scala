@@ -36,6 +36,12 @@ trait Predictor extends Serializable {
   /** Decompress: rebuild the field from codes/unpredictables/side data. */
   def decompress(dims: Array[Int], quant: Quantizer, codes: Array[Int],
                  unpredictable: Array[Double], side: Array[Byte]): Field
+
+  /** Number of codes `compress` emits for a field of shape `dims`. */
+  def codeCount(dims: Array[Int]): Int = dims.product
+
+  /** Side-channel bytes `compress` emits for a field of shape `dims`. */
+  def sideBytes(dims: Array[Int]): Long = 0L
 }
 
 object Predictor {
@@ -64,7 +70,7 @@ object LorenzoPredictor extends Predictor {
     * offsets and signs of the neighbour terms that exist there, in the mask
     * order of [[predictAt]], so both sum the same terms in the same order.
     */
-  private final class Stencil(strides: Array[Int]) {
+  private[repro] final class Stencil(strides: Array[Int]) {
     private val ndim = strides.length
     private val xBit = 1 << (ndim - 1)
     private val masks: Array[Array[Int]] = Array.tabulate(1 << ndim) { present =>
@@ -93,7 +99,7 @@ object LorenzoPredictor extends Predictor {
     * row-major order: `start` is the row's first linear index, and bit d of
     * `present` is set when coordinate d (d < ndim - 1) is > 0.
     */
-  private def foreachRow(dims: Array[Int])(row: (Int, Int) => Unit): Unit = {
+  private[repro] def foreachRow(dims: Array[Int])(row: (Int, Int) => Unit): Unit = {
     val ndim = dims.length
     val n = dims.product
     val coords = new Array[Int](ndim)
@@ -110,6 +116,18 @@ object LorenzoPredictor extends Predictor {
         else { present |= 1 << d; carry = false }
       }
     }
+  }
+
+  /** [[foreachRow]] over the rows whose outer coordinates are all > 0 in
+    * every dimension of extent > 1. A point of such a row is interior (every
+    * Lorenzo neighbour exists) from x = 1 on, or at x = 0 when the row has
+    * length 1: there the stencil sums the terms [[predictAt]] sums.
+    */
+  private[repro] def foreachInteriorRow(dims: Array[Int])(row: (Int, Int) => Unit): Unit = {
+    var need = 0
+    var d = 0
+    while (d < dims.length - 1) { if (dims(d) > 1) need |= 1 << d; d += 1 }
+    foreachRow(dims) { (start, present) => if ((present & need) == need) row(start, present) }
   }
 
   def compress(field: Field, quant: Quantizer): PredictorOutput = {
@@ -156,8 +174,9 @@ object LorenzoPredictor extends Predictor {
     out
   }
 
-  /** Lorenzo prediction at `coords` from the (partially filled) recon buffer.
-    * Visible for the model's sampler, which predicts from *original* values.
+  /** Lorenzo prediction at `coords` from the (partially filled) recon buffer,
+    * one neighbour mask at a time: the reference the [[Stencil]] is tested
+    * against.
     */
   def predictAt(buf: Array[Double], coords: Array[Int], dims: Array[Int], strides: Array[Int]): Double = {
     val ndim = dims.length
@@ -208,9 +227,8 @@ object InterpolationPredictor extends Predictor {
     val dims = field.dims
     val data = field.data
     val recon = new Array[Double](field.size)
-    val nAnchors = dims.map(d => (d - 1) / MaxStride + 1).product
-    val anchors = java.nio.ByteBuffer.allocate(nAnchors * 8)
-    val codes = new Array[Int](field.size - nAnchors)
+    val anchors = java.nio.ByteBuffer.allocate(sideBytes(dims).toInt)
+    val codes = new Array[Int](codeCount(dims))
     val unpred = new mutable.ArrayBuilder.ofDouble
     var c = 0
 
@@ -220,9 +238,7 @@ object InterpolationPredictor extends Predictor {
         recon(idx) = v
         anchors.putDouble(v)
       } else {
-        val pred =
-          if (predIdx2 >= 0) 0.5 * (recon(predIdx1) + recon(predIdx2))
-          else recon(predIdx1)
+        val pred = predict(recon, predIdx1, predIdx2)
         val code = quant.code(pred, v)
         codes(c) = code
         c += 1
@@ -244,16 +260,24 @@ object InterpolationPredictor extends Predictor {
       else {
         val code = codes(c); c += 1
         if (code == Quantizer.Escape) { recon(idx) = unpredictable(u); u += 1 }
-        else {
-          val pred =
-            if (predIdx2 >= 0) 0.5 * (recon(predIdx1) + recon(predIdx2))
-            else recon(predIdx1)
-          recon(idx) = quant.reconstruct(pred, code)
-        }
+        else recon(idx) = quant.reconstruct(predict(recon, predIdx1, predIdx2), code)
       }
     }
     Field(recon, dims)
   }
+
+  /** Anchor points (all coordinates ≡ 0 mod [[MaxStride]]) of a field of `dims`. */
+  def anchorCount(dims: Array[Int]): Int = dims.map(d => (d - 1) / MaxStride + 1).product
+
+  override def codeCount(dims: Array[Int]): Int = dims.product - anchorCount(dims)
+
+  override def sideBytes(dims: Array[Int]): Long = anchorCount(dims) * 8L
+
+  /** The midpoint rule: the average of the neighbours `p1` and `p2` in
+    * `buf`, or `buf(p1)` at the right boundary (`p2 < 0`). See [[traverse]].
+    */
+  def predict(buf: Array[Double], p1: Int, p2: Int): Double =
+    if (p2 >= 0) 0.5 * (buf(p1) + buf(p2)) else buf(p1)
 
   /** Callback of [[traverse]]. A trait, not a function type, so that its
     * primitive arguments are passed unboxed; a lambda converts to it.
@@ -270,7 +294,7 @@ object InterpolationPredictor extends Predictor {
     */
   def traverse(dims: Array[Int])(f: Visit): Unit = {
     val ndim = dims.length
-    val strides = Field(new Array[Double](dims.product), dims).strides
+    val strides = Field.strides(dims)
 
     // anchors: all coords ≡ 0 (mod MaxStride)
     foreachGrid(dims, Array.fill(ndim)(MaxStride), Array.fill(ndim)(0)) { coords =>
@@ -360,19 +384,14 @@ object RegressionPredictor extends Predictor {
     val dims = field.dims
     val data = field.data
     val ndim = dims.length
-    val be = blockEdge(ndim)
-    val nBlocks = dims.map(d => (d + be - 1) / be).product
-    val side = java.nio.ByteBuffer.allocate(nBlocks * (ndim + 1) * 4)
+    val side = java.nio.ByteBuffer.allocate(sideBytes(dims).toInt)
     val codes = new Array[Int](field.size)
     val unpred = new mutable.ArrayBuilder.ofDouble
     val recon = new Array[Double](field.size)
     var c = 0
 
-    foreachBlock(dims, be) { (lo, hi) =>
-      val fcoeffs = fitBlock(field, lo, hi).map(_.toFloat)
-      fcoeffs.foreach(side.putFloat)
-      foreachPointInBlock(field, lo, hi) { (idx, coords) =>
-        val pred = evalPlane(fcoeffs, coords, lo)
+    foreachBlock(dims, blockEdge(ndim)) { (lo, hi) =>
+      val fcoeffs = predictBlock(field, lo, hi) { (idx, pred) =>
         val v = data(idx)
         val code = quant.code(pred, v)
         codes(c) = code
@@ -380,6 +399,7 @@ object RegressionPredictor extends Predictor {
         if (code == Quantizer.Escape) { unpred += v; recon(idx) = v }
         else recon(idx) = quant.reconstruct(pred, code)
       }
+      fcoeffs.foreach(side.putFloat)
     }
     PredictorOutput(codes, unpred.result(), side.array(), Field(recon, dims))
   }
@@ -401,6 +421,27 @@ object RegressionPredictor extends Predictor {
       }
     }
     Field(recon, dims)
+  }
+
+  override def sideBytes(dims: Array[Int]): Long = {
+    val be = blockEdge(dims.length)
+    dims.map(d => ((d + be - 1) / be).toLong).product * (dims.length + 1) * 4L
+  }
+
+  /** Callback of [[predictBlock]]: the plane's prediction at point `idx`. */
+  trait Prediction {
+    def apply(idx: Int, pred: Double): Unit
+  }
+
+  /** Fits block `[lo, hi)` of `field`, rounds the coefficients to `Float`
+    * (the values the side channel carries) and calls `f(idx, pred)` for each
+    * point of the block, row-major, with the plane's prediction there.
+    * Returns the rounded coefficients.
+    */
+  def predictBlock(field: Field, lo: Array[Int], hi: Array[Int])(f: Prediction): Array[Float] = {
+    val fcoeffs = fitBlock(field, lo, hi).map(_.toFloat)
+    foreachPointInBlock(field, lo, hi) { (idx, coords) => f(idx, evalPlane(fcoeffs, coords, lo)) }
+    fcoeffs
   }
 
   /** Least-squares fit of b0 + Σ b_d·(x_d - lo_d) over the block. Falls back

@@ -1,16 +1,10 @@
 package repro.core
 
 /** Analytical encoder-efficiency model (§III-C): Huffman bit-rate from the
-  * quantization-code histogram (Eq. 1), the error-bound ↔ bit-rate closed
-  * forms (Eqs. 2–3), and the zero-run RLE model of the optional lossless
-  * stage (Eqs. 4–8).
+  * quantization-code histogram (Eq. 1), and the optional lossless stage
+  * estimated by the histogram's entropy floor.
   */
 object EncoderModel {
-
-  /** The paper's C1 — bits spent to represent one zero run in the lossless
-    * stage, matching the measured RLE codec ([[repro.compressor.Rle.RunLengthBits]]).
-    */
-  val C1: Double = repro.compressor.Rle.RunLengthBits.toDouble
 
   private[core] val Log2 = math.log(2.0)
   private def log2(x: Double): Double = math.log(x) / Log2
@@ -31,26 +25,6 @@ object EncoderModel {
     b
   }
 
-  /** Eq. 4: compression ratio of run-length encoding over the Huffman stream.
-    *
-    * The paper models runs of the zero code because a good predictor makes
-    * zero dominant; for data where the predictor leaves a different dominant
-    * code (e.g. a constant-increment ramp), the same derivation applies to
-    * that code, so we key on the dominant-code share.
-    *
-    * @param p0 share of the dominant quantization code
-    * @param huffBitRate Huffman bits/point (Eq. 1) — determines P0, the share
-    *                    of the Huffman footprint the dominant 1-bit code takes
-    */
-  def rleRatio(p0: Double, huffBitRate: Double): Double = {
-    if (p0 <= 0 || huffBitRate <= 0) return 1.0
-    val l0 = 1.0 // the dominant code's Huffman length once it dominates
-    val P0 = math.min(1.0, p0 * l0 / huffBitRate)
-    val e0 = C1 * (1 - p0) / l0 // Eq. 5 with n0 = 1/(1-p0) (Eq. 7)
-    val r = 1.0 / (e0 * P0 + (1 - P0)) // Eq. 6
-    math.max(1.0, r) // the lossless stage is only kept when it helps
-  }
-
   /** Unclamped Shannon entropy of the code histogram (bits/point), with the
     * same Miller–Madow small-sample correction. This is the floor any
     * lossless stage can approach: Huffman alone loses the sub-1-bit entropy
@@ -68,29 +42,10 @@ object EncoderModel {
   }
 
   /** Bits/point after Huffman + modeled lossless stage: the entropy floor,
-    * never above plain Huffman. (The RLE form, Eqs. 4–7, is the paper's
-    * closed-form approximation of the same quantity and is kept for the
-    * Eq. 8 inversion path.)
+    * never above plain Huffman.
     */
   def bitRateWithLossless(hist: CodeHistogram): Double = {
     val b = huffmanBitRate(hist)
     math.min(b, entropyBitRate(hist))
-  }
-
-  /** Eq. 8: the zero fraction needed for a target RLE ratio (used when
-    * inverting a target bit-rate in the RLE-dominated regime), from Eq. 4
-    * with P0 ≈ p0 and l0 = 1:
-    *
-    *   1/R = (1 − p0)(C1·p0 + 1)  ⇒  C1·p0² − (C1−1)·p0 + (1/R − 1) = 0
-    *   ⇒  p0 = ((C1−1) + √((C1−1)² + 4·C1·(1 − 1/R))) / (2·C1).
-    *
-    * (The radical as printed in the paper has no real solution for C1 in
-    * bits; this is the algebraically consistent root of their Eq. 4.)
-    */
-  def p0ForRleRatio(target: Double): Double = {
-    require(target >= 1.0, "RLE ratio must be ≥ 1")
-    val a = C1 - 1
-    val disc = a * a + 4 * C1 * (1.0 - 1.0 / target)
-    math.min(1.0, (a + math.sqrt(disc)) / (2 * C1))
   }
 }

@@ -37,8 +37,4 @@ object ErrorDistribution {
   /** Eq. 11: mixed error-distribution variance. */
   def mixedVariance(e: Double, p0: Double, centralVar: Double): Double =
     (1 - p0) * uniformVariance(e) + p0 * centralVar
-
-  /** Convenience: mixed variance straight from the sample. */
-  def estimateVariance(sample: PredictionErrorSample, e: Double, p0: Double): Double =
-    mixedVariance(e, p0, centralBinVariance(sample.errors, e))
 }

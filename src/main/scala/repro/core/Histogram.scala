@@ -14,9 +14,6 @@ final case class CodeHistogram(counts: Map[Int, Long], total: Long) {
   /** Fraction of zero codes (the paper's p0). */
   def p0: Double = counts.getOrElse(0, 0L).toDouble / total
 
-  /** Fraction of the most frequent code. */
-  def pMax: Double = counts.values.max.toDouble / total
-
   /** Probability of each code. */
   def probabilities: Map[Int, Double] = counts.map { case (c, n) => c -> n.toDouble / total }
 
@@ -24,14 +21,6 @@ final case class CodeHistogram(counts: Map[Int, Long], total: Long) {
 }
 
 object Histogram {
-
-  /** Eq. 9 correction threshold θ2 and per-predictor constants C2. */
-  val Theta2 = 0.8
-  def c2(predictor: String): Double = predictor match {
-    case "lorenzo" => 0.2
-    case "interp"  => 0.1
-    case _         => 0.0 // regression predicts from stored coefficients: no recon feedback
-  }
 
   /** Quantize sampled prediction errors at error bound `eb` into a code
     * histogram (linear-scaling quantization, same escape radius as the real
@@ -50,36 +39,4 @@ object Histogram {
     }
     CodeHistogram(m.toMap, errors.length.toLong)
   }
-
-  /** The paper's correction layer (Eq. 9): when the central code dominates
-    * (p0 ≥ θ2), original-value prediction underestimates the spread caused by
-    * predicting from lossy reconstructed values; transfer
-    * N_tran = C2·(1−p0)·N codes from each bin evenly to its two neighbors.
-    */
-  def corrected(hist: CodeHistogram, predictor: String): CodeHistogram = {
-    val p0 = hist.p0
-    val C2 = c2(predictor)
-    if (p0 < Theta2 || C2 == 0.0) return hist
-    val pTran = C2 * (1 - p0)
-    val out = scala.collection.mutable.Map.empty[Int, Double].withDefaultValue(0.0)
-    hist.counts.foreach { case (code, n) =>
-      if (code == repro.compressor.Quantizer.Escape) out(code) += n.toDouble
-      else {
-        val moved = pTran * n
-        out(code) += n - moved
-        out(code - 1) += moved / 2
-        out(code + 1) += moved / 2
-      }
-    }
-    // round, keep total stable
-    val rounded = out.toMap.map { case (c, v) => c -> math.max(0L, math.round(v)) }.filter(_._2 > 0)
-    CodeHistogram(rounded, rounded.values.sum)
-  }
-
-  /** Histogram whose central bin is widened to half-width `e` so that its
-    * share is a target p0 — used for the §III-C1 anchor profiling. Codes
-    * outside the central bin re-quantize with interval 2e.
-    */
-  def atCentralWidth(errors: Array[Double], e: Double, radius: Int = 32768): CodeHistogram =
-    fromErrors(errors, e, radius)
 }

@@ -17,22 +17,14 @@ object PatchSim {
 
   /** @param hist        simulated quantization-code histogram
     * @param errVariance mean squared reconstruction error across patches
-    * @param varNear     error variance over points close to the seeded halo
-    * @param varFar      error variance over points deep inside the patch
-    * @param deltaSteps  mean Manhattan-distance gap between the two groups —
-    *                    the number of drift steps separating them
+    * @param driftGrowthPerStep per-step growth of the drift variance (0 when
+    *                    errors are stationary inside the patch — the
+    *                    noise/denoising regime). The median across patches,
+    *                    so a few heterogeneous patches (a dense cosmology
+    *                    blob, a detector peak) cannot fake field-wide drift.
     */
-  final case class Result(hist: CodeHistogram, errVariance: Double,
-                          varNear: Double, varFar: Double, deltaSteps: Double,
-                          medianGrowth: Double = 0.0) {
+  final case class Result(hist: CodeHistogram, errVariance: Double, driftGrowthPerStep: Double) {
     def p0: Double = hist.p0
-
-    /** Per-step growth of the drift variance (0 when errors are stationary
-      * inside the patch — the noise/denoising regime). The median across
-      * patches, so a few heterogeneous patches (a dense cosmology blob, a
-    * detector peak) cannot fake field-wide drift.
-      */
-    def driftGrowthPerStep: Double = medianGrowth
 
     /** Fraction of non-central codes observed in the simulation. */
     def nonZeroRate: Double = 1.0 - hist.p0
@@ -48,64 +40,55 @@ object PatchSim {
     val counts = scala.collection.mutable.Map.empty[Int, Long].withDefaultValue(0L)
     var sumSq = 0.0
     var nCoded = 0L
-    var sqNear = 0.0; var nNear = 0L; var distNear = 0.0
-    var sqFar = 0.0; var nFar = 0L; var distFar = 0.0
     val growths = new Array[Double](patches.length)
+    var stencilDims: Array[Int] = null
+    var stencil: LorenzoPredictor.Stencil = null
     var pi = 0
     patches.foreach { patch =>
       val dims = patch.dims
       val ndim = dims.length
+      val strides = Field.strides(dims)
+      if (!java.util.Arrays.equals(dims, stencilDims)) {
+        stencil = new LorenzoPredictor.Stencil(strides)
+        stencilDims = dims
+      }
+      val nx = dims(ndim - 1)
+      val x0 = if (nx > 1) 1 else 0
       val dMid = dims.map(d => (d - 1) / 2.0).sum
-      val recon = patch.data.clone()
-      val f = Field(recon, dims)
-      val strides = f.strides
-      val coords = new Array[Int](ndim)
+      val data = patch.data
+      val recon = data.clone()
+      // errors near the seeded halo (Manhattan distance ≤ dMid) and far from it
       var pSqN = 0.0; var pNN = 0L; var pDN = 0.0
       var pSqF = 0.0; var pNF = 0L; var pDF = 0.0
-      var idx = 0
-      val n = recon.length
-      while (idx < n) {
-        var interior = true
+      LorenzoPredictor.foreachInteriorRow(dims) { (start, present) =>
+        var rowDist = 0
         var d = 0
-        while (d < ndim && interior) { if (coords(d) == 0 && dims(d) > 1) interior = false; d += 1 }
-        if (interior) {
-          val pred = LorenzoPredictor.predictAt(recon, coords, dims, strides)
-          val (code, rv) = quant.quantize(pred, patch.data(idx))
+        while (d < ndim - 1) { rowDist += start / strides(d) % dims(d); d += 1 }
+        var x = x0
+        while (x < nx) {
+          val idx = start + x
+          val (code, rv) = quant.quantize(stencil.predict(recon, idx, present, x), data(idx))
           counts(code) += 1
           recon(idx) = rv
-          val e = rv - patch.data(idx)
+          val e = rv - data(idx)
           sumSq += e * e
           nCoded += 1
-          var dist = 0.0
-          d = 0
-          while (d < ndim) { dist += coords(d); d += 1 }
+          val dist = (rowDist + x).toDouble
           if (dist <= dMid) { pSqN += e * e; pNN += 1; pDN += dist }
           else { pSqF += e * e; pNF += 1; pDF += dist }
+          x += 1
         }
-        d = ndim - 1
-        var carry = true
-        while (d >= 0 && carry) {
-          coords(d) += 1
-          if (coords(d) == dims(d)) { coords(d) = 0; d -= 1 } else carry = false
-        }
-        idx += 1
       }
-      sqNear += pSqN; nNear += pNN; distNear += pDN
-      sqFar += pSqF; nFar += pNF; distFar += pDF
       val pDelta = (if (pNF > 0) pDF / pNF else 0.0) - (if (pNN > 0) pDN / pNN else 0.0)
       growths(pi) =
         if (pDelta > 0 && pNN > 0 && pNF > 0) math.max(0.0, (pSqF / pNF - pSqN / pNN) / pDelta)
         else 0.0
       pi += 1
     }
-    if (nCoded == 0) Result(CodeHistogram(Map(0 -> 1L), 1L), 0.0, 0.0, 0.0, 0.0)
+    if (nCoded == 0) Result(CodeHistogram(Map(0 -> 1L), 1L), 0.0, 0.0)
     else {
-      val vN = if (nNear > 0) sqNear / nNear else 0.0
-      val vF = if (nFar > 0) sqFar / nFar else 0.0
-      val dd = (if (nFar > 0) distFar / nFar else 0.0) - (if (nNear > 0) distNear / nNear else 0.0)
       java.util.Arrays.sort(growths)
-      val med = growths(growths.length / 2)
-      Result(CodeHistogram(counts.toMap, nCoded), sumSq / nCoded, vN, vF, dd, med)
+      Result(CodeHistogram(counts.toMap, nCoded), sumSq / nCoded, growths(growths.length / 2))
     }
   }
 }

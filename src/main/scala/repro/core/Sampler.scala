@@ -2,6 +2,12 @@ package repro.core
 
 import repro.compressor.{InterpolationPredictor, LorenzoPredictor, Predictor, RegressionPredictor}
 
+/** A sampled patch: a small block of original values with a one-layer halo on
+  * the low side of every dimension (the halo seeds the recon buffer, so a
+  * patch-local compression simulation sees realistic borders).
+  */
+final case class SamplePatch(data: Array[Double], dims: Array[Int])
+
 /** A 1 % (configurable) sample of prediction errors plus the field summary
   * statistics the ratio-quality model needs. Produced once per
   * (field, predictor); every estimate for any error bound derives from it
@@ -18,12 +24,6 @@ import repro.compressor.{InterpolationPredictor, LorenzoPredictor, Predictor, Re
   *                    spend (anchors / regression coefficients) — known
   *                    exactly from dims, used for whole-size estimates
   */
-/** A sampled patch: a small block of original values with a one-layer halo on
-  * the low side of every dimension (the halo seeds the recon buffer, so a
-  * patch-local compression simulation sees realistic borders).
-  */
-final case class SamplePatch(data: Array[Double], dims: Array[Int])
-
 final case class PredictionErrorSample(
     predictor: String,
     errors: Array[Double],
@@ -55,15 +55,22 @@ final case class PredictionErrorSample(
   /** Std-dev of the sampled prediction errors (sampling-accuracy metric of
     * Fig. 4 / Table II "Sample Err" compares this against the full scan).
     */
-  def errorStd: Double = {
-    val n = errors.length
+  def errorStd: Double = PredictionErrorSample.std(errors)
+}
+
+object PredictionErrorSample {
+
+  /** Population standard deviation of `a` (0 when empty). */
+  def std(a: Array[Double]): Double = {
+    if (a.isEmpty) return 0.0
+    val n = a.length
     var mu = 0.0
     var i = 0
-    while (i < n) { mu += errors(i); i += 1 }
+    while (i < n) { mu += a(i); i += 1 }
     mu /= n
     var s = 0.0
     i = 0
-    while (i < n) { val d = errors(i) - mu; s += d * d; i += 1 }
+    while (i < n) { val d = a(i) - mu; s += d * d; i += 1 }
     math.sqrt(s / n)
   }
 }
@@ -117,43 +124,35 @@ object Sampler {
     val edge = patchEdge(ndim)
     // patch extent including the low-side halo, clamped to the field extent
     val ext = field.dims.map(d => math.min(d, edge + 1))
+    // interior points per patch: all but the halo
     val vol = math.max(1, ext.map(e => math.max(1, e - 1)).product)
     val k = math.max(4, (m + vol - 1) / vol)
-    val errors = scala.collection.mutable.ArrayBuffer.empty[Double]
-    val patches = new Array[SamplePatch](k)
-    var p = 0
-    while (p < k) {
+    val stencil = new LorenzoPredictor.Stencil(Field.strides(ext))
+    val nx = ext(ndim - 1)
+    val x0 = if (nx > 1) 1 else 0
+    val errors = new Array[Double](k * vol)
+    var e = 0
+    val patches = Array.tabulate(k) { _ =>
       val lo = Array.tabulate(ndim)(d => rnd.nextInt(field.dims(d) - ext(d) + 1))
       val data = new Array[Double](ext.product)
-      val coords = new Array[Int](ndim)
-      val gl = new Array[Int](ndim)
-      var idx = 0
-      val pn = ext.product
-      while (idx < pn) {
-        var d = 0
-        while (d < ndim) { gl(d) = lo(d) + coords(d); d += 1 }
-        data(idx) = field(gl)
-        // collect the original-value prediction error for interior points
-        var interior = true
-        d = 0
-        while (d < ndim && interior) { if (coords(d) == 0 && ext(d) > 1) interior = false; d += 1 }
-        if (interior) {
-          val pred = LorenzoPredictor.predictAt(field.data, gl, field.dims, field.strides)
-          errors += field(gl) - pred
-        }
-        d = ndim - 1
-        var carry = true
-        while (d >= 0 && carry) {
-          coords(d) += 1
-          if (coords(d) == ext(d)) { coords(d) = 0; d -= 1 } else carry = false
-        }
-        idx += 1
+      var i = 0
+      RegressionPredictor.foreachPointInBlock(field, lo, Array.tabulate(ndim)(d => lo(d) + ext(d))) { (idx, _) =>
+        data(i) = field.data(idx)
+        i += 1
       }
-      patches(p) = SamplePatch(data, ext.clone())
-      p += 1
+      // the original-value prediction error at each interior point
+      LorenzoPredictor.foreachInteriorRow(ext) { (start, present) =>
+        var x = x0
+        while (x < nx) {
+          val idx = start + x
+          errors(e) = data(idx) - stencil.predict(data, idx, present, x)
+          e += 1
+          x += 1
+        }
+      }
+      SamplePatch(data, ext.clone())
     }
-    if (errors.isEmpty) errors += 0.0
-    PredictionErrorSample(LorenzoPredictor.name, errors.toArray, rate, field.size,
+    PredictionErrorSample(LorenzoPredictor.name, errors, rate, field.size,
       field.valueRange, field.variance, 0L, ndim, patches)
   }
 
@@ -165,19 +164,9 @@ object Sampler {
   def interpolation(field: Field, rate: Double, seed: Long): PredictionErrorSample = {
     val rnd = new java.util.Random(seed)
     val effRate = math.max(rate, MinSamples.toDouble / field.size)
-    val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
-    InterpolationPredictor.traverse(field.dims) { (idx, isAnchor, p1, p2) =>
-      if (!isAnchor && rnd.nextDouble() < effRate) {
-        val pred =
-          if (p2 >= 0) 0.5 * (field.data(p1) + field.data(p2))
-          else field.data(p1)
-        buf += field.data(idx) - pred
-      }
-    }
-    if (buf.isEmpty) buf += 0.0
-    val anchors = countAnchors(field.dims)
-    PredictionErrorSample(InterpolationPredictor.name, buf.toArray, rate, field.size,
-      field.valueRange, field.variance, anchors * 8L, field.ndim)
+    val errors = interpolationErrors(field, () => rnd.nextDouble() < effRate)
+    PredictionErrorSample(InterpolationPredictor.name, if (errors.isEmpty) Array(0.0) else errors, rate,
+      field.size, field.valueRange, field.variance, InterpolationPredictor.sideBytes(field.dims), field.ndim)
   }
 
   /** Regression: sample whole blocks (the fit needs the block, §III-D3),
@@ -185,10 +174,8 @@ object Sampler {
     */
   def regression(field: Field, rate: Double, seed: Long): PredictionErrorSample = {
     val rnd = new java.util.Random(seed)
-    val be = RegressionPredictor.blockEdge(field.ndim)
-    val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
     var nBlocks = 0
-    RegressionPredictor.foreachBlock(field.dims, be) { (_, _) => nBlocks += 1 }
+    RegressionPredictor.foreachBlock(field.dims, RegressionPredictor.blockEdge(field.ndim)) { (_, _) => nBlocks += 1 }
     // sample a fixed subset of block indices: enough blocks for a
     // representative histogram even on small fields (§III-D3 relies on the
     // block unit being small relative to the data)
@@ -197,21 +184,8 @@ object Sampler {
       math.max(math.max(8, MinSamples / pointsPerBlock), math.ceil(rate * nBlocks).toInt))
     val chosen = new java.util.HashSet[Integer]()
     while (chosen.size < wanted) chosen.add(rnd.nextInt(nBlocks))
-    var bi = 0
-    RegressionPredictor.foreachBlock(field.dims, be) { (lo, hi) =>
-      if (chosen.contains(bi)) {
-        val coeffs = RegressionPredictor.fitBlock(field, lo, hi).map(_.toFloat)
-        RegressionPredictor.foreachPointInBlock(field, lo, hi) { (idx, coords) =>
-          var pred = coeffs(0).toDouble
-          var d = 0
-          while (d < lo.length) { pred += coeffs(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }
-          buf += field.data(idx) - pred
-        }
-      }
-      bi += 1
-    }
-    PredictionErrorSample(RegressionPredictor.name, buf.toArray, rate, field.size,
-      field.valueRange, field.variance, nBlocks.toLong * (field.ndim + 1) * 4L, field.ndim)
+    PredictionErrorSample(RegressionPredictor.name, regressionErrors(field, chosen.contains(_)), rate,
+      field.size, field.valueRange, field.variance, RegressionPredictor.sideBytes(field.dims), field.ndim)
   }
 
   /** Full-scan reference errors (used only by tests/benches to quantify the
@@ -219,49 +193,44 @@ object Sampler {
     */
   def fullErrors(field: Field, predictor: Predictor): Array[Double] = predictor match {
     case LorenzoPredictor =>
+      val data = field.data
       val out = new Array[Double](field.size)
-      var idx = 0
-      val coords = new Array[Int](field.ndim)
-      while (idx < field.size) {
-        out(idx) = field.data(idx) - LorenzoPredictor.predictAt(field.data, coords, field.dims, field.strides)
-        var d = field.ndim - 1
-        var carry = true
-        while (d >= 0 && carry) {
-          coords(d) += 1
-          if (coords(d) == field.dims(d)) { coords(d) = 0; d -= 1 } else carry = false
+      val stencil = new LorenzoPredictor.Stencil(field.strides)
+      val nx = field.dims(field.ndim - 1)
+      LorenzoPredictor.foreachRow(field.dims) { (start, present) =>
+        var x = 0
+        while (x < nx) {
+          val idx = start + x
+          out(idx) = data(idx) - stencil.predict(data, idx, present, x)
+          x += 1
         }
-        idx += 1
       }
       out
-    case InterpolationPredictor =>
-      val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
-      InterpolationPredictor.traverse(field.dims) { (idx, isAnchor, p1, p2) =>
-        if (!isAnchor) {
-          val pred = if (p2 >= 0) 0.5 * (field.data(p1) + field.data(p2)) else field.data(p1)
-          buf += field.data(idx) - pred
-        }
-      }
-      buf.toArray
-    case RegressionPredictor =>
-      val be = RegressionPredictor.blockEdge(field.ndim)
-      val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
-      RegressionPredictor.foreachBlock(field.dims, be) { (lo, hi) =>
-        val coeffs = RegressionPredictor.fitBlock(field, lo, hi).map(_.toFloat)
-        RegressionPredictor.foreachPointInBlock(field, lo, hi) { (idx, coords) =>
-          var pred = coeffs(0).toDouble
-          var d = 0
-          while (d < lo.length) { pred += coeffs(d + 1).toDouble * (coords(d) - lo(d)); d += 1 }
-          buf += field.data(idx) - pred
-        }
-      }
-      buf.toArray
+    case InterpolationPredictor => interpolationErrors(field, () => true)
+    case RegressionPredictor    => regressionErrors(field, _ => true)
     case p => throw new IllegalArgumentException(s"no full-error scan for ${p.name}")
   }
 
-  private def build(field: Field, predictor: Predictor, errors: Array[Double], rate: Double): PredictionErrorSample =
-    PredictionErrorSample(predictor.name, errors, rate, field.size, field.valueRange, field.variance, 0L, field.ndim)
+  /** Original-value interpolation errors at the non-anchor points `take()`
+    * accepts, in traversal order.
+    */
+  private def interpolationErrors(field: Field, take: () => Boolean): Array[Double] = {
+    val buf = new scala.collection.mutable.ArrayBuilder.ofDouble
+    InterpolationPredictor.traverse(field.dims) { (idx, isAnchor, p1, p2) =>
+      if (!isAnchor && take()) buf += field.data(idx) - InterpolationPredictor.predict(field.data, p1, p2)
+    }
+    buf.result()
+  }
 
-  /** Anchor count of the interpolation predictor for given dims. */
-  def countAnchors(dims: Array[Int]): Long =
-    dims.map(d => ((d - 1) / InterpolationPredictor.MaxStride + 1).toLong).product
+  /** Regression residuals of the blocks whose row-major index `take` accepts. */
+  private def regressionErrors(field: Field, take: Int => Boolean): Array[Double] = {
+    val buf = new scala.collection.mutable.ArrayBuilder.ofDouble
+    var bi = 0
+    RegressionPredictor.foreachBlock(field.dims, RegressionPredictor.blockEdge(field.ndim)) { (lo, hi) =>
+      if (take(bi)) RegressionPredictor.predictBlock(field, lo, hi) { (idx, pred) => buf += field.data(idx) - pred }
+      bi += 1
+    }
+    buf.result()
+  }
+
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.analysis.Metrics
 import repro.compressor.{Compressor, Predictor}
-import repro.core.{RQModel, Sampler}
+import repro.core.{PredictionErrorSample, RQModel, Sampler}
 
 /** Per-chunk ratio-quality stats: the model's estimates next to the measured
   * values from actually running the compressor on the same chunk. One row per
@@ -68,7 +68,7 @@ object ModelPipeline {
         val range = f.valueRange
         val model = RQModel.build(f, predictor, sampleRate, seed = 42L + row.chunkId)
         val fullStd =
-          if (withFullScan) stddev(Sampler.fullErrors(f, predictor))
+          if (withFullScan) PredictionErrorSample.std(Sampler.fullErrors(f, predictor))
           else Double.NaN
         ebRels.map { ebRel =>
           val ebAbs = math.max(ebRel * range, 1e-300)
@@ -131,15 +131,4 @@ object ModelPipeline {
       sum(col("n")).as("n"),
     )
   }
-
-  private def stddev(a: Array[Double]): Double = {
-    if (a.isEmpty) return 0.0
-    var mu = 0.0; var i = 0
-    while (i < a.length) { mu += a(i); i += 1 }
-    mu /= a.length
-    var s = 0.0; i = 0
-    while (i < a.length) { val d = a(i) - mu; s += d * d; i += 1 }
-    math.sqrt(s / a.length)
-  }
-
 }

@@ -40,6 +40,44 @@ class CompressorSpec extends AnyFunSuite {
       assert(rates == rates.sorted.reverse, rates.toString)
     }
 
+    test("1-point fields of 1 to 4 dimensions round-trip within the bound (" + p.name + ")") {
+      (1 to 4).foreach { ndim =>
+        val f = Field(Array(2.5), Array.fill(ndim)(1))
+        val eb = 1e-3
+        val res = Compressor.compress(f, eb, p)
+        val dec = Compressor.decompressBlob(Compressor.compressToBlob(f, eb, p))
+        assert(Compressor.maxAbsError(f, dec) <= eb, s"$ndim-D")
+        assert(dec.data.toSeq == res.recon.data.toSeq, s"$ndim-D")
+      }
+    }
+
+    test("a truncated blob or a blob with a huge or negative header field is rejected (" + p.name + ")") {
+      val f = Field.tabulate(Array(5, 70))(i => 10 * math.sin(i * 0.7))
+      val blob = Compressor.compressToBlob(f, 1e-2, p)
+      val ndim = 2
+      val nUnpred = java.nio.ByteBuffer.wrap(blob).getInt(16 + 4 * ndim)
+      def rejected(b: Array[Byte], what: String): Unit =
+        withClue(what)(intercept[IllegalArgumentException](Compressor.decompressBlob(b)))
+      (0 until blob.length).foreach(len => rejected(blob.take(len), s"truncated to $len bytes"))
+      // int fields: ndim, each dim, predictor id, unpredictable count, side length
+      val intFields = Seq(0) ++ (0 until ndim).map(d => 4 + 4 * d) ++
+        Seq(12 + 4 * ndim, 16 + 4 * ndim, 20 + 4 * ndim + 8 * nUnpred)
+      for (off <- intFields; v <- Seq(Int.MaxValue, 1 << 30, -1, Int.MinValue)) {
+        val b = blob.clone()
+        java.nio.ByteBuffer.wrap(b).putInt(off, v)
+        rejected(b, s"int $v at byte $off")
+      }
+      for (eb <- Seq(-1.0, 0.0, Double.NaN)) {
+        val b = blob.clone()
+        java.nio.ByteBuffer.wrap(b).putDouble(4 + 4 * ndim, eb)
+        rejected(b, s"eb $eb")
+      }
+      // four dims whose product wraps a Long to 0
+      val wraps = Compressor.compressToBlob(Field(Array(2.5), Array(1, 1, 1, 1)), 1e-2, p)
+      (0 until 4).foreach(d => java.nio.ByteBuffer.wrap(wraps).putInt(4 + 4 * d, 1 << 16))
+      rejected(wraps, "dims 65536^4")
+    }
+
     test("p0 increases with error bound (" + p.name + ")") {
       val f = smooth3d()
       val p0s = Seq(1e-5, 1e-3, 1e-1).map(r => Compressor.compress(f, r * f.valueRange, p).p0)

@@ -104,12 +104,19 @@ class PredictorSpec extends AnyFunSuite {
     }
   }
 
-  test("interpolation anchors count matches Sampler.countAnchors") {
+  test("interpolation anchors count matches anchorCount") {
     Seq(Array(100), Array(64, 64), Array(65, 65), Array(9, 11, 13), Array(130, 70)).foreach { dims =>
       var anchors = 0
       InterpolationPredictor.traverse(dims) { (_, isAnchor, _, _) => if (isAnchor) anchors += 1 }
-      assert(anchors.toLong == repro.core.Sampler.countAnchors(dims), dims.mkString("x"))
+      assert(anchors == InterpolationPredictor.anchorCount(dims), dims.mkString("x"))
     }
+  }
+
+  test("anchorCount matches ceil(dim/stride) product") {
+    assert(InterpolationPredictor.anchorCount(Array(64)) == 1)
+    assert(InterpolationPredictor.anchorCount(Array(65)) == 2)
+    assert(InterpolationPredictor.anchorCount(Array(128, 128)) == 4)
+    assert(InterpolationPredictor.anchorCount(Array(100, 30, 7)) == 2)
   }
 
   test("interpolation predicts exact midpoints of linear data with tiny codes") {

@@ -4,32 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class RleSpec extends AnyFunSuite {
 
-  test("token roundtrip: all zeros") {
-    val codes = Array.fill(1000)(0)
-    assert(Rle.decodeTokens(Rle.encodeTokens(codes)).toSeq == codes.toSeq)
-  }
-
-  test("token roundtrip: no zeros") {
-    val codes = Array(1, -1, 2, 5, -3)
-    assert(Rle.decodeTokens(Rle.encodeTokens(codes)).toSeq == codes.toSeq)
-  }
-
-  test("token roundtrip: mixed stream") {
-    val rnd = new java.util.Random(8)
-    val codes = Array.fill(5000)(if (rnd.nextDouble() < 0.9) 0 else rnd.nextInt(9) - 4)
-    assert(Rle.decodeTokens(Rle.encodeTokens(codes)).toSeq == codes.toSeq)
-  }
-
-  test("token roundtrip: run longer than MaxRun splits correctly") {
-    val codes = Array.fill(Rle.MaxRun * 3 + 17)(0)
-    val tokens = Rle.encodeTokens(codes)
-    assert(Rle.decodeTokens(tokens).toSeq == codes.toSeq)
-    assert(tokens.length == 8) // 4 (marker, len) pairs
-  }
-
   test("empty input") {
-    assert(Rle.encodeTokens(Array.empty[Int]).isEmpty)
-    assert(Rle.decodeTokens(Array.empty[Int]).isEmpty)
+    assert(Rle.bitsAfterZeroRunRle(Array.empty[Int], Map.empty[Int, Int]) == 0L)
   }
 
   test("bitsAfterZeroRunRle: pure zeros cost RunLengthBits per run") {
@@ -60,7 +36,4 @@ class RleSpec extends AnyFunSuite {
     assert(bits == 50 * Rle.RunLengthBits + 50)
   }
 
-  test("RunMarker cannot collide with quantization codes") {
-    assert(Rle.RunMarker > 32768 * 2)
-  }
 }

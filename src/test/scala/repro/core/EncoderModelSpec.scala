@@ -33,43 +33,6 @@ class EncoderModelSpec extends AnyFunSuite {
     assert(math.abs((corr - plain) - 10 / (2.0 * 11 * math.log(2))) < 1e-12)
   }
 
-  test("Eq. 4: no zeros means no RLE gain") {
-    assert(EncoderModel.rleRatio(0.0, 4.0) == 1.0)
-  }
-
-  test("Eq. 4: RLE gain only once zeros dominate past the break-even") {
-    // break-even at p0 = 1 − 1/C1 = 0.875 for C1 = 8
-    assert(EncoderModel.rleRatio(0.5, 1.5) == 1.0)
-    assert(EncoderModel.rleRatio(0.99, 1.02) > 2.0)
-  }
-
-  test("Eq. 4: ratio grows monotonically in p0 in the dominated regime") {
-    val rs = Seq(0.9, 0.95, 0.99, 0.999).map(p0 => EncoderModel.rleRatio(p0, 1.0 + (1 - p0)))
-    assert(rs == rs.sorted)
-  }
-
-  test("Eq. 8 inverts Eq. 4 in the RLE-dominated regime") {
-    // pick p0, compute the ratio as Eq. 8's derivation assumes (P0 ≈ p0, B ≈ 1)
-    Seq(0.9, 0.95, 0.99).foreach { p0 =>
-      val e0 = EncoderModel.C1 * (1 - p0)
-      val r = 1.0 / (e0 * p0 + (1 - p0))
-      if (r > 1) {
-        val back = EncoderModel.p0ForRleRatio(r)
-        assert(math.abs(back - p0) < 0.01, s"p0=$p0 r=$r back=$back")
-      }
-    }
-  }
-
-  test("Eq. 8 at ratio 1 gives the break-even zero fraction") {
-    val p = EncoderModel.p0ForRleRatio(1.0)
-    assert(math.abs(p - (EncoderModel.C1 - 1) / EncoderModel.C1) < 1e-9)
-  }
-
-  test("Eq. 8 is monotone increasing in the target ratio") {
-    val ps = Seq(1.0, 1.5, 3.0, 10.0).map(EncoderModel.p0ForRleRatio)
-    assert(ps == ps.sorted)
-  }
-
   test("bitRateWithLossless never exceeds the Huffman bit-rate") {
     val rnd = new java.util.Random(22)
     (0 until 20).foreach { _ =>

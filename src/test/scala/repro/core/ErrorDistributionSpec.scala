@@ -47,8 +47,7 @@ class ErrorDistributionSpec extends AnyFunSuite {
     val errors = Array.fill(10000)(rnd.nextGaussian() * 0.01)
     val e = 0.5
     val p0 = errors.count(x => math.abs(x) <= e).toDouble / errors.length
-    val v = ErrorDistribution.estimateVariance(
-      PredictionErrorSample("lorenzo", errors, 0.01, 10000, 1.0, 1.0, 0L, 1), e, p0)
+    val v = ErrorDistribution.mixedVariance(e, p0, ErrorDistribution.centralBinVariance(errors, e))
     assert(v < ErrorDistribution.uniformVariance(e))
   }
 }

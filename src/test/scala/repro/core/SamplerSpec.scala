@@ -84,13 +84,6 @@ class SamplerSpec extends AnyFunSuite {
     assert(qs == qs.sorted)
   }
 
-  test("countAnchors matches ceil(dim/stride) product") {
-    assert(Sampler.countAnchors(Array(64)) == 1)
-    assert(Sampler.countAnchors(Array(65)) == 2)
-    assert(Sampler.countAnchors(Array(128, 128)) == 4)
-    assert(Sampler.countAnchors(Array(100, 30, 7)) == 2)
-  }
-
   test("unknown predictor rejected") {
     val dummy = new Predictor {
       val name = "dummy"

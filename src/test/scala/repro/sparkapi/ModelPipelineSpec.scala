@@ -39,13 +39,15 @@ class ModelPipelineSpec extends SparkSpec {
     }
   }
 
+  // group key as an integer label so Spark and DuckDB stringify identically
+  private lazy val oracleInput = stats.toDF
+    .select(col("dataset"), col("field"),
+      (col("ebRel") * 1e6).cast("long").as("ebKey"),
+      col("n").cast("double").as("n"),
+      col("measHuffBitRate"), col("measSumSqErr"))
+
   test("aggregateByField: weighted aggregation matches DuckDB (oracle)") {
-    // group key as an integer label so Spark and DuckDB stringify identically
-    val df = stats.toDF
-      .select(col("dataset"), col("field"),
-        (col("ebRel") * 1e6).cast("long").as("ebKey"),
-        col("n").cast("double").as("n"),
-        col("measHuffBitRate"), col("measSumSqErr"))
+    val df = oracleInput
     val agg = df.groupBy("dataset", "field", "ebKey").agg(
       (sum(col("n") * col("measHuffBitRate")) / sum(col("n"))).as("wavg_bitrate"),
       (sum(col("measSumSqErr")) / sum(col("n"))).as("mse"),
@@ -58,6 +60,20 @@ class ModelPipelineSpec extends SparkSpec {
         |FROM stats GROUP BY dataset, field, ebKey""".stripMargin,
       "stats" -> df,
     )
+  }
+
+  test("oracle rejects a wrong result") {
+    val offByOne = oracleInput.groupBy("dataset", "field", "ebKey").agg(
+      (sum(col("n") * col("measHuffBitRate")) / sum(col("n")) + 1).as("wavg_bitrate"))
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(
+        offByOne,
+        """SELECT dataset, field, ebKey,
+          |       SUM(CAST(n AS DOUBLE) * CAST(measHuffBitRate AS DOUBLE)) / SUM(CAST(n AS DOUBLE)) AS wavg_bitrate
+          |FROM stats GROUP BY dataset, field, ebKey""".stripMargin,
+        "stats" -> oracleInput,
+      )
+    }
   }
 
   test("aggregateByField output has one row per (field, eb) with sane values") {
