@@ -44,8 +44,10 @@ object EncoderModel {
   /** Bits/point after Huffman + modeled lossless stage: the entropy floor,
     * never above plain Huffman.
     */
-  def bitRateWithLossless(hist: CodeHistogram): Double = {
-    val b = huffmanBitRate(hist)
-    math.min(b, entropyBitRate(hist))
-  }
+  def bitRateWithLossless(hist: CodeHistogram): Double =
+    bitRateWithLossless(hist, huffmanBitRate(hist))
+
+  /** [[bitRateWithLossless]] given the histogram's [[huffmanBitRate]]. */
+  def bitRateWithLossless(hist: CodeHistogram, huffBitRate: Double): Double =
+    math.min(huffBitRate, entropyBitRate(hist))
 }

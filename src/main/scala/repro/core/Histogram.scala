@@ -1,10 +1,12 @@
 package repro.core
 
+import repro.compressor.{Frequencies, Quantizer}
+
 /** Quantization-code histogram (§III-D) — the interface between the predictor
   * module (sampled prediction errors) and the encoder module (bit-rate
   * estimation).
   *
-  * @param counts code -> count ([[repro.compressor.Quantizer.Escape]] appears
+  * @param counts code -> count ([[Quantizer.Escape]] appears
   *               as its own symbol for out-of-range codes)
   * @param total  total number of sampled codes
   */
@@ -15,7 +17,7 @@ final case class CodeHistogram(counts: Map[Int, Long], total: Long) {
   def p0: Double = counts.getOrElse(0, 0L).toDouble / total
 
   /** Probability of each code. */
-  def probabilities: Map[Int, Double] = counts.map { case (c, n) => c -> n.toDouble / total }
+  lazy val probabilities: Map[Int, Double] = counts.map { case (c, n) => c -> n.toDouble / total }
 
   def distinct: Int = counts.size
 }
@@ -28,15 +30,14 @@ object Histogram {
     */
   def fromErrors(errors: Array[Double], eb: Double, radius: Int = 32768): CodeHistogram = {
     require(eb > 0, "error bound must be positive")
-    val m = scala.collection.mutable.Map.empty[Int, Long].withDefaultValue(0L)
+    val codes = new Array[Int](errors.length)
     val interval = 2 * eb
     var i = 0
     while (i < errors.length) {
       val c = math.rint(errors(i) / interval)
-      val code = if (c.isNaN || math.abs(c) >= radius) repro.compressor.Quantizer.Escape else c.toInt
-      m(code) += 1
+      codes(i) = if (c.isNaN || math.abs(c) >= radius) Quantizer.Escape else c.toInt
       i += 1
     }
-    CodeHistogram(m.toMap, errors.length.toLong)
+    CodeHistogram(Frequencies.of(codes).toMap, errors.length.toLong)
   }
 }

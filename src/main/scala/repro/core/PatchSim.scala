@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.compressor.{LorenzoPredictor, Quantizer}
+import repro.compressor.{Frequencies, LorenzoPredictor, Quantizer}
 
 /** Patch-local compression simulation (the refined correction layer of
   * §III-D4, in the shape of SZ3's own block sampler §V-D).
@@ -37,9 +37,10 @@ object PatchSim {
   def simulate(patches: Array[SamplePatch], eb: Double, radius: Int = 32768): Result = {
     require(patches.nonEmpty, "no patches to simulate")
     val quant = new Quantizer(eb, radius)
-    val counts = scala.collection.mutable.Map.empty[Int, Long].withDefaultValue(0L)
+    // every point whose coordinates are ≥ 1 in each dim of extent > 1 is coded
+    val codes = new Array[Int](patches.map(_.dims.map(d => if (d > 1) d - 1 else d).product).sum)
     var sumSq = 0.0
-    var nCoded = 0L
+    var nCoded = 0
     val growths = new Array[Double](patches.length)
     var stencilDims: Array[Int] = null
     var stencil: LorenzoPredictor.Stencil = null
@@ -67,10 +68,13 @@ object PatchSim {
         var x = x0
         while (x < nx) {
           val idx = start + x
-          val (code, rv) = quant.quantize(stencil.predict(recon, idx, present, x), data(idx))
-          counts(code) += 1
+          val pred = stencil.predict(recon, idx, present, x)
+          val v = data(idx)
+          val code = quant.code(pred, v)
+          codes(nCoded) = code
+          val rv = if (code == Quantizer.Escape) v else quant.reconstruct(pred, code)
           recon(idx) = rv
-          val e = rv - data(idx)
+          val e = rv - v
           sumSq += e * e
           nCoded += 1
           val dist = (rowDist + x).toDouble
@@ -88,7 +92,7 @@ object PatchSim {
     if (nCoded == 0) Result(CodeHistogram(Map(0 -> 1L), 1L), 0.0, 0.0)
     else {
       java.util.Arrays.sort(growths)
-      Result(CodeHistogram(counts.toMap, nCoded), sumSq / nCoded, growths(growths.length / 2))
+      Result(CodeHistogram(Frequencies.of(codes).toMap, nCoded), sumSq / nCoded, growths(growths.length / 2))
     }
   }
 }

@@ -71,7 +71,7 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
       }
     val p0 = hist.p0
     val huffB = EncoderModel.huffmanBitRate(hist)
-    val llB = EncoderModel.bitRateWithLossless(hist)
+    val llB = EncoderModel.bitRateWithLossless(hist, huffB)
     val psnrEst = QualityModel.psnr(sample.range, errVar)
     val ssimEst = QualityModel.ssim(sample.variance, sample.range, errVar)
     val bytes = estimateTotalBytes(hist, llB)
@@ -95,8 +95,9 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     * error bound expected to deliver the target encoder bit-rate.
     *
     * @param targetB     target bits/point
-    * @param withLossless whether the lossless stage is on (then the
-    *                     RLE-regime inversion Eq. 8 matters below ~1 bit)
+    * @param withLossless whether `targetB` is the Huffman + lossless
+    *                     bit-rate (`llBitRate`) rather than the Huffman-only
+    *                     one (`huffBitRate`)
     */
   def errorBoundForBitRate(targetB: Double, withLossless: Boolean = true): Double = {
     require(targetB > 0, "target bit-rate must be positive")
@@ -122,9 +123,10 @@ final class RQModel(val sample: PredictionErrorSample) extends Serializable {
     }
   }
 
-  /** Error bound expected to deliver a target PSNR: closed form from Eq. 12
-    * under the uniform distribution, then a short bisection on the mixed
-    * model (Eq. 11) — still sample-only, no compression.
+  /** Error bound expected to deliver a target PSNR: the uniform-error closed
+    * form of Eq. 12 brackets the bound within a factor of 64 either side,
+    * then 40 log-scale bisection steps on the estimated error variance
+    * narrow it — 40 full [[estimate]] calls, sample-only, no compression.
     */
   def errorBoundForPsnr(targetPsnr: Double): Double = {
     val targetVar = QualityModel.errVarianceForPsnr(sample.range, targetPsnr)

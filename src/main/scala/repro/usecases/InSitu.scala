@@ -24,26 +24,37 @@ object InSitu {
 
   final case class Allocation(ebs: Array[Double], estBits: Double, estVariance: Double)
 
-  /** Per-partition error bounds meeting the total-variance budget `vStar`. */
+  /** Per-partition error bounds meeting the total-variance budget `vStar`.
+    * Each (partition, eb) on the grids is estimated once; every λ step of
+    * the search reads those estimates.
+    */
   def optimize(models: Seq[RQModel], vStar: Double, ebGridPerPartition: Seq[Array[Double]]): Allocation = {
-    require(models.length == ebGridPerPartition.length)
+    require(models.length == ebGridPerPartition.length,
+      s"${models.length} models but ${ebGridPerPartition.length} error-bound grids")
+    require(ebGridPerPartition.forall(_.nonEmpty), "every partition needs a non-empty error-bound grid")
+    val grids = ebGridPerPartition.toArray
+    val (gridBits, gridVars) = models.zip(grids).map { case (m, grid) =>
+      val est = grid.map(m.estimate)
+      (est.map(_.llBitRate * m.sample.totalPoints), est.map(_.errVariance))
+    }.toArray.unzip
     def allocate(lambda: Double): Allocation = {
-      val ebs = new Array[Double](models.length)
+      val ebs = new Array[Double](grids.length)
       var bits = 0.0
       var v = 0.0
       var t = 0
-      while (t < models.length) {
-        val m = models(t)
-        val grid = ebGridPerPartition(t)
+      while (t < grids.length) {
+        val grid = grids(t)
+        val tBits = gridBits(t)
+        val tVars = gridVars(t)
         var best = grid(0)
         var bestCost = Double.MaxValue
         var bestBits = 0.0
         var bestVar = 0.0
-        grid.foreach { e =>
-          val est = m.estimate(e)
-          val b = est.llBitRate * m.sample.totalPoints
-          val cost = b + lambda * est.errVariance
-          if (cost < bestCost) { bestCost = cost; best = e; bestBits = b; bestVar = est.errVariance }
+        var j = 0
+        while (j < grid.length) {
+          val cost = tBits(j) + lambda * tVars(j)
+          if (cost < bestCost) { bestCost = cost; best = grid(j); bestBits = tBits(j); bestVar = tVars(j) }
+          j += 1
         }
         ebs(t) = best; bits += bestBits; v += bestVar
         t += 1

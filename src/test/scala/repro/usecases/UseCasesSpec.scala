@@ -126,6 +126,16 @@ class InSituSpec extends AnyFunSuite {
     assert(out.sumErrVariance > 0)
   }
 
+  test("optimize rejects an empty error-bound grid") {
+    val e = intercept[IllegalArgumentException](InSitu.optimize(models, 1.0, grids.updated(1, Array.empty[Double])))
+    assert(e.getMessage.contains("non-empty error-bound grid"))
+  }
+
+  test("optimize rejects a grid count that differs from the model count") {
+    val e = intercept[IllegalArgumentException](InSitu.optimize(models, 1.0, grids.take(3)))
+    assert(e.getMessage.contains("4 models but 3 error-bound grids"))
+  }
+
   test("uniformBaseline picks the largest eb meeting the budget") {
     val vStar = models.zip(grids).map { case (m, g) => m.estimate(g(2)).errVariance }.sum
     val eb = InSitu.uniformBaseline(models, vStar, grids.head)
